@@ -125,12 +125,28 @@ def _build_spec(type_name: str, args: dict, scope_value: int) -> "ChunnelSpec":
 
 
 def spec_from_wire(data: dict) -> "ChunnelSpec":
-    """Decode one spec from its wire dict form (inverse of ``to_wire``)."""
-    return _build_spec(
-        data.get("type"),
-        decode(data.get("args", {})),
-        data.get("scope", Scope.GLOBAL.value),
-    )
+    """Decode one spec from its wire form (inverse of ``to_wire``)."""
+    spec = decode(data)
+    if not isinstance(spec, ChunnelSpec):
+        raise WireError(f"wire value did not decode to a spec: {data!r}")
+    return spec
+
+
+def _collect_specs(value: Any, found: list) -> None:
+    """Append the specs nested in ``value`` to ``found``, depth first.
+
+    Module-level on purpose: a self-recursive closure is a reference
+    cycle (function -> cell -> function), and ``children`` runs on every
+    DAG build, while the event loop keeps the cyclic GC paused.
+    """
+    if isinstance(value, ChunnelSpec):
+        found.append(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _collect_specs(item, found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _collect_specs(item, found)
 
 
 class ChunnelSpec:
@@ -179,29 +195,15 @@ class ChunnelSpec:
     def children(self) -> list["ChunnelSpec"]:
         """Specs nested in this spec's arguments (branching, Figure 2)."""
         found: list[ChunnelSpec] = []
-
-        def walk(value: Any) -> None:
-            if isinstance(value, ChunnelSpec):
-                found.append(value)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    walk(item)
-            elif isinstance(value, dict):
-                for item in value.values():
-                    walk(item)
-
         for value in self.args.values():
-            walk(value)
+            _collect_specs(value, found)
         return found
 
     # -- serialization & comparison ---------------------------------------------
     def to_wire(self) -> dict:
-        """Wire dict form (type + encoded args + scope)."""
-        return {
-            "type": self.type_name,
-            "args": encode(self.args),
-            "scope": self.scope_requirement.value,
-        }
+        """Wire form: the tagged ``chunnel_spec`` encoding (type, args,
+        scope)."""
+        return encode(self)
 
     def compat_key(self) -> tuple:
         """Key for DAG compatibility: type identity only.

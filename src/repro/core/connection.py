@@ -44,6 +44,26 @@ __all__ = ["Connection"]
 _log = logging.getLogger("repro.ctl")
 
 
+def _discard(*_args) -> None:
+    """Transmit/deliver sink for a detached stack: late traffic is dropped."""
+
+
+def _detach(stack: ChunnelStack) -> None:
+    """Cut a dropped stack out of its connection and stages.
+
+    ``Environment.run`` pauses the cyclic GC, so every reference cycle a
+    connection leaves behind lives until the run ends.  A stack is in two
+    cycles — ``stack.connection`` and the bound ``_transmit``/``_deliver``
+    back to the connection, and ``stack.stages`` against each
+    ``stage._stack`` — so both are broken here.  Stages keep their
+    one-way link to the now inert stack: a timer that fires after the
+    stage stopped reaches the sink instead of raising.
+    """
+    stack.connection = None
+    stack._transmit = stack._deliver = _discard
+    stack.stages = []
+
+
 def next_conn_id(entity) -> str:
     """A fresh connection identifier, unique within the entity's network.
 
@@ -90,8 +110,15 @@ class _Pump:
         return not self.dead
 
     def interrupt(self, cause: object = None) -> None:
-        """Stop the pump (socket rebind / connection close)."""
+        """Stop the pump (socket rebind / connection close).
+
+        The pump may still sit in the socket store's getter queue, so it
+        also drops its links to the connection and the socket: the
+        ``pump -> socket -> store -> getters -> pump`` loop would
+        otherwise keep both alive while the cyclic GC is paused.
+        """
         self.dead = True
+        self.conn = self.socket = None
 
     # -- store-getter protocol -------------------------------------------
     def succeed(self, item: Datagram) -> None:
@@ -454,6 +481,7 @@ class Connection:
             # Carried-over stages re-homed to the aborted stack; point them
             # back at the stack that remains current.
             self._reattach(self.stack)
+            _detach(stack)
         self._flush_reroute()
         self.resume_sends()
 
@@ -482,6 +510,7 @@ class Connection:
         stack = self._stacks.pop(epoch, None)
         if stack is not None:
             self._dispose_stack(stack)
+            _detach(stack)
 
     def rebind_socket(self, socket: "SimSocket") -> None:
         """Swap the data socket under the connection (migration rebind).
@@ -646,6 +675,12 @@ class Connection:
                 except ValueError:
                     pass
                 self.listener = None
+            # Nothing reads a closed ephemeral connection's stacks any more
+            # (their counters were just unregistered): cut the cycles so
+            # refcounting frees the connection as soon as the caller drops
+            # it.  Non-ephemeral connections keep their stacks readable.
+            for stack in self._stacks.values():
+                _detach(stack)
 
     def _context_for(self, node_id: int) -> Optional[SetupContext]:
         for ctx in self._setup_contexts:

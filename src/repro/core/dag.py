@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 from ..errors import DagError, IncompatibleDagError
 from .chunnel import ChunnelSpec
-from .wire import decode, encode
+from .wire import WireError, decode, encode, register_wire_type
 
 __all__ = ["ChunnelDag", "wrap"]
 
@@ -242,28 +242,16 @@ class ChunnelDag:
 
     # -- serialization ------------------------------------------------------------
     def to_wire(self) -> dict:
-        """Wire form: nodes (id + spec) and edges."""
-        return {
-            "nodes": [
-                {"id": node_id, "spec": encode(spec)}
-                for node_id, spec in sorted(self.nodes.items())
-            ],
-            "edges": sorted([list(edge) for edge in self.edges]),
-        }
+        """Wire form: the tagged ``chunnel_dag`` encoding (nodes with their
+        specs, and edges) that negotiation messages carry."""
+        return encode(self)
 
     @classmethod
     def from_wire(cls, data: dict) -> "ChunnelDag":
         """Inverse of :meth:`to_wire`; validates the result."""
-        dag = cls()
-        for node in data.get("nodes", []):
-            spec = decode(node["spec"])
-            if not isinstance(spec, ChunnelSpec):
-                raise DagError(f"wire node did not decode to a spec: {node!r}")
-            dag.nodes[int(node["id"])] = spec
-            dag._next_id = max(dag._next_id, int(node["id"]) + 1)
-        for a, b in data.get("edges", []):
-            dag.edges.add((int(a), int(b)))
-        dag.validate()
+        dag = decode(data)
+        if not isinstance(dag, ChunnelDag):
+            raise DagError(f"wire value did not decode to a DAG: {data!r}")
         return dag
 
     def copy(self) -> "ChunnelDag":
@@ -282,6 +270,34 @@ class ChunnelDag:
             return "<ChunnelDag empty>"
         chain = " -> ".join(s.type_name for s in self.specs_in_order())
         return f"<ChunnelDag {chain}>"
+
+
+def _dag_to_body(dag: ChunnelDag) -> dict:
+    return {
+        "nodes": [
+            {"id": node_id, "spec": spec}
+            for node_id, spec in sorted(dag.nodes.items())
+        ],
+        "edges": sorted([list(edge) for edge in dag.edges]),
+    }
+
+
+def _dag_from_body(body: dict) -> ChunnelDag:
+    dag = ChunnelDag()
+    for node in body.get("nodes", []):
+        spec = node["spec"]
+        if not isinstance(spec, ChunnelSpec):
+            raise WireError(f"DAG node did not decode to a spec: {node!r}")
+        dag.nodes[int(node["id"])] = spec
+        dag._next_id = max(dag._next_id, int(node["id"]) + 1)
+    for a, b in body.get("edges", []):
+        dag.edges.add((int(a), int(b)))
+    dag.validate()
+    return dag
+
+
+#: The one DAG codec: negotiation messages and ``to_wire`` both use it.
+register_wire_type("chunnel_dag", ChunnelDag, _dag_to_body, _dag_from_body)
 
 
 def wrap(*items: Wrappable) -> ChunnelDag:

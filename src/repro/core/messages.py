@@ -899,35 +899,9 @@ class LeaseRevoked(ControlMessage):
 
 
 # --------------------------------------------------------------------------
-# Wire adapters for the rich payload types messages carry
+# Wire adapter for implementation offers.  Specs and DAGs register their
+# own (the one codec each) in chunnel.py and dag.py.
 # --------------------------------------------------------------------------
-def _encode_dag(dag: ChunnelDag) -> dict:
-    return {
-        "nodes": [
-            {"id": node_id, "spec": spec}
-            for node_id, spec in sorted(dag.nodes.items())
-        ],
-        "edges": sorted([list(edge) for edge in dag.edges]),
-    }
-
-
-def _decode_dag(body: dict) -> ChunnelDag:
-    from .chunnel import ChunnelSpec
-
-    dag = ChunnelDag()
-    for node in body.get("nodes", []):
-        spec = node["spec"]
-        if not isinstance(spec, ChunnelSpec):
-            raise WireError(f"DAG node did not decode to a spec: {node!r}")
-        dag.nodes[int(node["id"])] = spec
-        dag._next_id = max(dag._next_id, int(node["id"]) + 1)
-    for a, b in body.get("edges", []):
-        dag.edges.add((int(a), int(b)))
-    dag.validate()
-    return dag
-
-
-register_wire_type("chunnel_dag", ChunnelDag, _encode_dag, _decode_dag)
 register_wire_type(
     "chunnel_offer",
     ImplOffer,

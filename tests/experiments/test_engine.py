@@ -88,6 +88,14 @@ class TestRecordedBaseline:
             assert tier["events"] > 0
             assert tier["events_per_sec"] > 0
 
+    def test_smoke_digest_matches_a_fresh_run(self, recorded, smoke_result):
+        # The recorded digest is machine-checked, not only self-consistent:
+        # an export key added without re-recording fails here.
+        assert (
+            smoke_result.tier("smoke").metrics_digest
+            == recorded["tiers"]["smoke"]["metrics_digest"]
+        )
+
     def test_speedups_recorded_against_pre_refactor(self, recorded):
         reference = recorded["reference"]
         assert reference["pre_refactor"]["chaos_sweep_wall_s"] > 0
