@@ -25,11 +25,12 @@ import itertools
 import logging
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
-from ..errors import ConnectionClosedError, TransportError
+from ..errors import ConnectionClosedError, ConnectionTimeoutError, TransportError
 from ..sim.datagram import Address, Datagram
 from ..sim.eventloop import Event
 from ..sim.resources import Store
 from . import messages as msgs
+from . import rpc
 from .chunnel import ChunnelImpl, ChunnelStage, Message, Offer, Role
 from .dag import ChunnelDag
 from .stack import ChunnelStack, SetupContext
@@ -265,8 +266,12 @@ class Connection:
         #: original offer message, the policy context, the reservation
         #: owner).  Empty on clients and raw connections.
         self.negotiation_state = dict(negotiation_state or {})
-        #: Live-reconfiguration state.
+        #: Live-reconfiguration state.  One counter numbers every epoch
+        #: this side starts or adopts, so none is ever reused.
         self.epoch = 0
+        self.next_epoch = 1
+        #: epoch -> event the pump fulfils with the peer's ack (announce).
+        self._ack_waiters: dict[int, Event] = {}
         self.transitions = 0
         #: Mid-connection failover state (repro.core.failover).  Plain
         #: attributes — no timing or wire impact unless a failover watcher
@@ -413,13 +418,66 @@ class Connection:
             headers={CTL_HEADER: message.KIND},
         )
 
+    def announce(self, message: "msgs.ControlMessage", dst: Address, policy, **kwargs):
+        """Generator: send an epoch announcement (TRANSITION, MIGRATE) to
+        ``dst`` with retries until the pump hands the ack for its epoch to
+        :meth:`ack_received`; returns the ack, or None on timeout.
+        ``kwargs`` go to :func:`repro.core.rpc.call`."""
+        epoch = message.epoch
+        ack = self._ack_waiters[epoch] = Event(self.env)
+        try:
+            return (
+                yield from rpc.call(
+                    self.env,
+                    policy,
+                    lambda attempt: self.send_ctl(message, dst=dst),
+                    rpc.event_waiter(self.env, ack),
+                    conn_id=self.conn_id,
+                    **kwargs,
+                )
+            )
+        except ConnectionTimeoutError:
+            return None
+        finally:
+            self._ack_waiters.pop(epoch, None)
+
+    def ack_received(self, ack: "msgs.ControlMessage") -> None:
+        """Hand a TRANSITION or MIGRATE ack to the :meth:`announce` awaiting
+        its epoch (late and duplicate acks find nothing and are dropped)."""
+        waiter = self._ack_waiters.get(ack.epoch)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(ack)
+
     # -- live reconfiguration ------------------------------------------------------
+    def claim_epoch(self) -> int:
+        """The number for a transition or migration this side starts."""
+        self.next_epoch += 1
+        return self.next_epoch - 1
+
+    def adopt_epoch(self, epoch: int) -> None:
+        """Number the current binding with the peer-announced ``epoch``.
+
+        A standby takes a migrated connection over under the client's
+        migration epoch, so the client's stamped traffic finds the current
+        stack by number.  The stack keeps the establishment stack's
+        unstamped wire format until a transition prepares a second stack
+        (:meth:`prepare_transition`).
+        """
+        if epoch > self.epoch:
+            self._stacks[epoch] = self._stacks.pop(self.epoch)
+            self.epoch = epoch
+            self.next_epoch = max(self.next_epoch, epoch + 1)
+
     def prepare_transition(self, epoch: int, stages: list) -> ChunnelStack:
         """Build and start the stack for a new epoch (not yet current).
 
         Stage objects carried over from the current stack re-home to the
         new one (state continuity); only genuinely new stages are started.
+        From here on the current stack stamps its epoch, so the peer tells
+        its traffic apart from the new stack's (this only changes a stack
+        numbered by :meth:`adopt_epoch`: epoch 0 stamps nothing).
         """
+        self.stack.epoch = self.epoch
         stack = ChunnelStack(
             self.env, stages, transmit=self._transmit, deliver=self._deliver
         )
@@ -452,12 +510,13 @@ class Connection:
     ) -> int:
         """Make ``epoch`` the current stack; returns the previous epoch.
 
-        The caller (the reconfiguration engine) is responsible for tearing
-        down replaced implementations and retiring the old epoch's stack
-        after a grace period.
+        The caller (:class:`~repro.core.transition.EpochSwap`) tears down
+        replaced implementations and retires the old epoch's stack after a
+        grace period.
         """
         old_epoch = self.epoch
         self.epoch = epoch
+        self.next_epoch = max(self.next_epoch, epoch + 1)
         self.stack = self._stacks[epoch]
         self.dag = dag
         self.impls = impls
@@ -658,6 +717,12 @@ class Connection:
         if self._pump.is_alive:
             self._pump.interrupt("connection closed")
         self.socket.close()
+        # The engines keep per-connection state keyed by id; a closed
+        # connection needs none of it.
+        if self.runtime._reconfig is not None:
+            self.runtime._reconfig.forget(self)
+        if self.runtime.failover is not None:
+            self.runtime.failover.unwatch(self)
         if self.runtime.ephemeral_connections:
             obs = self.runtime.network.obs
             prefix = f"conn.{self.conn_id}.{self.role.value}"

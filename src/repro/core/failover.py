@@ -58,13 +58,13 @@ from ..errors import (
     TransportError,
 )
 from ..obs.registry import Histogram
-from ..reconfig.engine import _same_offer
-from ..sim.eventloop import Event, Interrupt
+from ..sim.eventloop import Interrupt
 from ..sim.transport import UdpSocket
 from ..sim.datagram import Address
 from . import messages as msgs
 from . import rpc
-from .establish import build_binding, make_data_socket, teardown_nodes
+from .establish import make_data_socket
+from .transition import EpochSwap, adopted_binding
 from .wire import WireError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -174,8 +174,6 @@ class FailoverManager:
         self.env = runtime.env
         self.config = config if config is not None else FailoverConfig()
         self._states: dict[str, _WatchState] = {}
-        #: (conn_id, epoch) → Event the pump fulfils with the MigrateAck.
-        self._migrate_waiters: dict[tuple, Event] = {}
         self.heartbeats_sent = 0
         self.heartbeat_acks = 0
         self.suspicions_total = 0
@@ -238,11 +236,11 @@ class FailoverManager:
         return state
 
     def unwatch(self, conn: "Connection") -> None:
-        """Detach the watcher (idempotent)."""
+        """Detach the watcher (idempotent); a closed connection's watcher
+        returns on its own at its next wakeup."""
         state = self._states.pop(conn.conn_id, None)
-        if state is not None and state.process is not None:
-            if state.process.is_alive:
-                state.process.interrupt("unwatched")
+        if state is not None and not conn.closed and state.process.is_alive:
+            state.process.interrupt("unwatched")
 
     # ------------------------------------------------------------------
     # In-band control handling (called from the pump via ReconfigManager)
@@ -263,13 +261,6 @@ class FailoverManager:
             # processes intact (restart_host semantics), so the
             # connection resumes in place — no renegotiation needed.
             self._unpark(state, src)
-
-    def handle_migrate_ack(
-        self, conn: "Connection", message: "msgs.MigrateAck", src: Address
-    ) -> None:
-        waiter = self._migrate_waiters.get((conn.conn_id, message.epoch))
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(message)
 
     def _unpark(self, state: _WatchState, src: Address) -> None:
         conn = state.conn
@@ -580,36 +571,14 @@ class FailoverManager:
         conn = state.conn
         runtime = self.runtime
         reconfig = runtime.reconfig
-        # Same shape ⇒ keep our DAG object so node identities (and the
-        # setup contexts keyed on them) survive, like a transition.
-        same_shape = (
-            accept.dag.canonical_shape() == conn.dag.canonical_shape()
-        )
-        dag = conn.dag if same_shape else accept.dag
+        # Adopt the standby's binding like an announced transition:
+        # unchanged nodes keep their spec objects, contexts and stages.
+        dag, changed = adopted_binding(conn, accept.dag, accept.choice)
         choice = accept.choice
-        changed = {
-            node_id
-            for node_id in dag.topological_order()
-            if not _same_offer(conn.choice.get(node_id), choice.get(node_id))
-        }
-        if not same_shape:
-            changed = set(dag.topological_order())
-        rstate = reconfig._state(conn)
-        epoch = rstate.next_epoch
-        rstate.next_epoch += 1
+        epoch = conn.claim_epoch()
         try:
-            impls, ctx_map, stage_map = build_binding(
-                runtime,
-                role=conn.role,
-                conn_id=conn.conn_id,
-                dag=dag,
-                choice=choice,
-                client_entity=conn.client_entity,
-                server_entity=accept.data_addr.host,
-                params=conn.params,
-                changed=changed,
-                reuse=conn,
-                fresh_params=True,
+            swap = EpochSwap(
+                conn, epoch, dag, choice, changed, accept.data_addr.host, ()
             )
         except BerthaError:
             self.migration_failures += 1
@@ -619,27 +588,13 @@ class FailoverManager:
         # replay still covers it.
         old_map = conn._stage_map or {}
         for node_id in sorted(changed):
-            old_stage = old_map.get(node_id)
-            new_stage = stage_map.get(node_id)
-            if (
-                old_stage is not None
-                and new_stage is not None
-                and hasattr(new_stage, "adopt_window")
-                and getattr(old_stage, "_unacked", None)
-            ):
-                new_stage.adopt_window(old_stage._unacked)
+            window = getattr(old_map.get(node_id), "_unacked", None)
+            new_stage = swap.stage_map.get(node_id)
+            if window and hasattr(new_stage, "adopt_window"):
+                new_stage.adopt_window(window)
         try:
-            stages = [
-                stage_map[node_id]
-                for node_id in dag.topological_order()
-                if stage_map[node_id] is not None
-            ]
-            new_stack = conn.prepare_transition(epoch, stages)
-            for node_id in sorted(changed):
-                impls[node_id].after_establish(ctx_map[node_id], conn)
+            new_stack = swap.prepare()
         except BerthaError:
-            conn.abort_transition(epoch)
-            teardown_nodes(impls, ctx_map, changed)
             # abort resumed sends toward the dead peer; re-freeze (the
             # flushed messages stay recoverable in the unacked window).
             conn.pause_sends()
@@ -652,12 +607,24 @@ class FailoverManager:
         conn.transport = accept.transport
         conn.peers = [accept.data_addr]
         conn.last_src = None
-        ack = yield from self._exchange_migrate(
-            conn, mig_id_epoch=epoch, dst=accept.data_addr, deadline=deadline
+        ack = yield from conn.announce(
+            msgs.Migrate(
+                conn_id=conn.conn_id,
+                epoch=epoch,
+                client_entity=runtime.entity.name,
+            ),
+            accept.data_addr,
+            rpc.RetryPolicy(
+                timeout=self.config.migrate_timeout,
+                retries=self.config.migrate_retries,
+            ),
+            stats=self.rpc_stats,
+            describe=f"{conn.conn_id}: migrate epoch {epoch}",
+            trace=runtime.network.trace,
+            deadline=deadline,
         )
         if ack is None or not ack.ok:
-            conn.abort_transition(epoch)
-            teardown_nodes(impls, ctx_map, changed)
+            swap.abort()
             conn.peers = old_peers
             conn.transport = old_transport
             conn.pause_sends()
@@ -667,33 +634,12 @@ class FailoverManager:
         # Commit.  Replay the frozen window *before* the commit flushes
         # the send buffer: replayed messages carry the older sequence
         # numbers, so this keeps delivery in order on the standby.
-        old_choice = dict(conn.choice)
-        old_impls = dict(conn.impls)
-        old_ctxs = {
-            n: conn._context_for(n) for n in changed if n in conn.impls
-        }
         replayed = self._replay(conn, new_stack)
-        contexts = [
-            ctx_map[node_id]
-            for node_id in dag.topological_order()
-            if ctx_map[node_id] is not None
-        ]
-        old_epoch = conn.commit_transition(
-            epoch,
-            dag=dag,
-            impls=impls,
-            choice=choice,
-            contexts=contexts,
-            stage_map=stage_map,
-        )
-        for node_id in sorted(changed):
-            impl = old_impls.get(node_id)
-            octx = old_ctxs.get(node_id)
-            if impl is not None and octx is not None:
-                impl.teardown(octx)
-                for record_id, owner in octx.reservations:
+        swap.commit()
+        for old in swap.settle(reconfig.retire_grace):
+            if old.context is not None:
+                for record_id, owner in old.context.reservations:
                     runtime.spawn_release(record_id, owner)
-        conn.retire_epoch(old_epoch, grace=reconfig.retire_grace)
         conn.migrations += 1
         conn.parked = False
         self.migrations_total += 1
@@ -733,39 +679,6 @@ class FailoverManager:
             )
             runtime.negcache_watch_records(record_ids)
         return True
-
-    def _exchange_migrate(self, conn, mig_id_epoch: int, dst, deadline):
-        """Generator: MIGRATE with retries → the MigrateAck, or None."""
-        epoch = mig_id_epoch
-        announcement = msgs.Migrate(
-            conn_id=conn.conn_id,
-            epoch=epoch,
-            client_entity=self.runtime.entity.name,
-        )
-        ack_event = Event(self.env)
-        self._migrate_waiters[(conn.conn_id, epoch)] = ack_event
-        policy = rpc.RetryPolicy(
-            timeout=self.config.migrate_timeout,
-            retries=self.config.migrate_retries,
-        )
-        try:
-            return (
-                yield from rpc.call(
-                    self.env,
-                    policy,
-                    lambda attempt: conn.send_ctl(announcement, dst=dst),
-                    rpc.event_waiter(self.env, ack_event),
-                    stats=self.rpc_stats,
-                    describe=f"{conn.conn_id}: migrate epoch {epoch}",
-                    trace=self.runtime.network.trace,
-                    conn_id=conn.conn_id,
-                    deadline=deadline,
-                )
-            )
-        except ConnectionTimeoutError:
-            return None
-        finally:
-            self._migrate_waiters.pop((conn.conn_id, epoch), None)
 
     # ------------------------------------------------------------------
     # Window freeze/replay plumbing

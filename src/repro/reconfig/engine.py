@@ -40,9 +40,9 @@ from ..core import messages as msgs
 from ..core import rpc
 from ..core.chunnel import Offer, Role
 from ..core.dag import ChunnelDag
-from ..core.establish import build_binding, teardown_nodes
 from ..core.negotiation import decide_with_reservations
 from ..core.scope import Placement
+from ..core.transition import EpochSwap, adopted_binding, changed_nodes
 from ..errors import BerthaError, ConnectionTimeoutError, ReconfigurationError
 from ..sim.eventloop import Event, Interrupt
 from .triggers import DeviceFailureDetector, DiscoveryWatcher
@@ -52,16 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.runtime import Runtime
 
 __all__ = ["ReconfigManager", "TransitionRecord"]
-
-
-def _same_offer(a: Optional[Offer], b: Optional[Offer]) -> bool:
-    return (
-        a is not None
-        and b is not None
-        and a.meta.name == b.meta.name
-        and a.record_id == b.record_id
-        and a.location == b.location
-    )
 
 
 @dataclass
@@ -81,13 +71,10 @@ class _ConnState:
     conn: "Connection"
     busy: bool = False
     queue: deque = field(default_factory=deque)
-    next_epoch: int = 1
     #: Client side: cached acks per epoch, replayed on duplicate TRANSITION.
     #: Bounded — retransmits arrive within the sender's retry window, so
     #: only the most recent epochs' verdicts are ever needed.
     acks: rpc.ReplyCache = field(default_factory=lambda: rpc.ReplyCache(64))
-    #: Server side: in-flight ack waiter per epoch.
-    ack_waiters: dict = field(default_factory=dict)
     #: Client side: done-events for requests sent to the server.
     pending_requests: list = field(default_factory=list)
     #: Sticky (impl name, record_id) exclusions, e.g. failed devices.
@@ -96,9 +83,6 @@ class _ConnState:
     device_exclusions: dict = field(default_factory=dict)
     watched_records: set = field(default_factory=set)
     watched_devices: set = field(default_factory=set)
-
-    def cache_ack(self, epoch: int, ack: "msgs.TransitionAck") -> None:
-        self.acks.put(epoch, ack)
 
 
 class ReconfigManager:
@@ -301,7 +285,7 @@ class ReconfigManager:
         self.transitions_started += 1
         trace = self.runtime.network.trace
         span = trace.begin(
-            "reconfig", conn.conn_id, epoch=state.next_epoch, reason=reason
+            "reconfig", conn.conn_id, epoch=conn.next_epoch, reason=reason
         )
         outcome = "failed"
         try:
@@ -336,8 +320,7 @@ class ReconfigManager:
         message, ctx, owner = ns["message"], ns["ctx"], ns["owner"]
         old_shape = conn.dag.canonical_shape()
         dag = target_dag if target_dag is not None else conn.dag
-        arg_changed: set[int] = set()
-        merged_args = False
+        merged: Optional[set[int]] = None
         if dag is not conn.dag:
             # A same-structure target whose specs differ only in args (a
             # multipath weight update, a retuned timeout) merges into the
@@ -347,8 +330,7 @@ class ReconfigManager:
             # fall through to the historical full rebuild.
             merge = ChunnelDag.merge_arg_updates(conn.dag, dag)
             if merge is not None:
-                dag, arg_changed = merge
-                merged_args = True
+                dag, merged = merge
 
         # Re-decide against fresh offers: the client's stored offers, our
         # registry, and a *new* discovery query (the client's establishment-
@@ -365,78 +347,59 @@ class ReconfigManager:
             conn_id=conn.conn_id,
         )
 
-        changed = {
-            node_id
-            for node_id in dag.topological_order()
-            if not _same_offer(conn.choice.get(node_id), choice[node_id])
-        } | arg_changed
+        changed = changed_nodes(conn, dag, choice, merged)
         if dag is conn.dag and not changed:
-            for record_id, node_owner in confirmed:
-                yield from self._safe_release(record_id, node_owner)
+            yield from self._safe_release(confirmed)
             self.transitions_noop += 1
             self._log(conn, "noop", reason)
             return "noop"
 
-        epoch = state.next_epoch
-        state.next_epoch += 1
+        epoch = conn.claim_epoch()
         self._log(conn, "prepare", f"epoch {epoch}: {reason}")
-
-        if dag is not conn.dag and not merged_args:
-            changed = set(dag.topological_order())
-        impls, ctx_map, stage_map = self._build_side(
-            conn, dag, choice, changed, confirmed, conn.role
+        swap = EpochSwap(
+            conn, epoch, dag, choice, changed, conn.server_entity, confirmed
         )
         try:
-            stages = [
-                stage_map[node_id]
-                for node_id in dag.topological_order()
-                if stage_map[node_id] is not None
-            ]
-            conn.prepare_transition(epoch, stages)
             # Device programs go live *now*, while the old stack still
             # serves — an upgrade loses nothing during the handover.
-            for node_id in sorted(changed):
-                impls[node_id].after_establish(ctx_map[node_id], conn)
+            swap.prepare()
         except BerthaError:
-            conn.abort_transition(epoch)
-            self._teardown_nodes(impls, ctx_map, changed)
-            for record_id, node_owner in confirmed:
-                yield from self._safe_release(record_id, node_owner)
+            yield from self._safe_release(confirmed)
             raise
 
         started = self.env.now
         conn.pause_sends()
-        reply = yield from self._exchange_transition(
-            state, conn, epoch, dag, choice, reason
-        )
+        target = conn.peer or conn.last_src
+        if target is None:
+            # No peer address yet (no traffic seen, no hello): commit
+            # unilaterally.
+            reply = msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
+        else:
+            reply = yield from conn.announce(
+                msgs.Transition(
+                    conn_id=conn.conn_id,
+                    epoch=epoch,
+                    dag=dag,
+                    choice=choice,
+                    reason=reason,
+                ),
+                target,
+                rpc.RetryPolicy(timeout=self.ack_timeout, retries=self.ack_retries),
+                stats=self.rpc_stats,
+                describe=f"{conn.conn_id}: transition epoch {epoch}",
+                trace=runtime.network.trace,
+            )
 
         if reply is None or not reply.ok:
             error = "ack timeout" if reply is None else reply.error
-            conn.abort_transition(epoch)
-            self._teardown_nodes(impls, ctx_map, changed)
-            for record_id, node_owner in confirmed:
-                yield from self._safe_release(record_id, node_owner)
+            swap.abort()
+            yield from self._safe_release(confirmed)
             self.transitions_rolled_back += 1
             self._log(conn, "rolled-back", f"epoch {epoch}: {error}")
             return "rolled-back"
 
         # Commit: swap epochs, then settle the books.
-        old_choice = dict(conn.choice)
-        old_impls = dict(conn.impls)
-        old_ctxs = {n: conn._context_for(n) for n in changed if n in conn.impls}
-        contexts = [
-            ctx_map[node_id]
-            for node_id in dag.topological_order()
-            if ctx_map[node_id] is not None
-        ]
-        old_epoch = conn.commit_transition(
-            epoch,
-            dag=dag,
-            impls=impls,
-            choice=choice,
-            contexts=contexts,
-            stage_map=stage_map,
-        )
+        old_epoch = swap.commit()
         pause = self.env.now - started
         self.pause_times.append(pause)
         self.last_pause = pause
@@ -446,33 +409,24 @@ class ReconfigManager:
         changed_records = {
             choice[n].record_id for n in changed if choice[n].record_id
         }
-        for record_id, node_owner in confirmed:
-            if record_id not in changed_records:
-                yield from self._safe_release(record_id, node_owner)
+        yield from self._safe_release(
+            lease for lease in confirmed if lease[0] not in changed_records
+        )
 
         # Tear down what the new binding replaced, and release its leases.
         replaced_offload = False
-        for node_id in sorted(changed):
-            impl = old_impls.get(node_id)
-            if impl is None:
-                continue
-            if impl.meta.placement.is_offload:
-                replaced_offload = True
-            octx = old_ctxs.get(node_id)
-            if octx is not None:
-                impl.teardown(octx)
-            old_offer = old_choice.get(node_id)
-            if old_offer is not None and old_offer.record_id:
-                spec = conn.dag.nodes.get(node_id)
+        for old in swap.settle(self.retire_grace):
+            replaced_offload |= old.impl.meta.placement.is_offload
+            if old.offer is not None and old.offer.record_id:
+                spec = conn.dag.nodes.get(old.node_id)
                 node_owner = (
                     spec.reservation_scope() if spec is not None else None
                 ) or owner
-                yield from self._safe_release(old_offer.record_id, node_owner)
+                yield from self._safe_release([(old.offer.record_id, node_owner)])
         if replaced_offload:
             # Stragglers stamped with the old epoch may have relied on the
             # now-removed device program; route them to the new stack.
             conn.mark_broken(old_epoch)
-        conn.retire_epoch(old_epoch, grace=self.retire_grace)
 
         # The committed binding supersedes whatever negotiation results
         # were cached for this DAG shape: evict them so a later resume
@@ -495,46 +449,6 @@ class ReconfigManager:
             self._watch_choice(state)
         return "committed"
 
-    def _exchange_transition(self, state, conn, epoch, dag, choice, reason):
-        """Generator: send TRANSITION, wait for the ACK (with retries).
-
-        Returns the :class:`~repro.core.messages.TransitionAck`, or None on
-        timeout.  A connection whose peer address is unknown (no traffic
-        seen, no hello) commits unilaterally: returns an implicit ok.
-        """
-        target = conn.peer or conn.last_src
-        if target is None:
-            return msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
-        announcement = msgs.Transition(
-            conn_id=conn.conn_id,
-            epoch=epoch,
-            dag=dag,
-            choice=choice,
-            reason=reason,
-        )
-        ack_event = Event(self.env)
-        state.ack_waiters[epoch] = ack_event
-        policy = rpc.RetryPolicy(
-            timeout=self.ack_timeout, retries=self.ack_retries
-        )
-        try:
-            return (
-                yield from rpc.call(
-                    self.env,
-                    policy,
-                    lambda attempt: conn.send_ctl(announcement, dst=target),
-                    rpc.event_waiter(self.env, ack_event),
-                    stats=self.rpc_stats,
-                    describe=f"{conn.conn_id}: transition epoch {epoch}",
-                    trace=self.runtime.network.trace,
-                    conn_id=conn.conn_id,
-                )
-            )
-        except ConnectionTimeoutError:
-            return None
-        finally:
-            state.ack_waiters.pop(epoch, None)
-
     # ------------------------------------------------------------------
     # In-band control handling (both roles; called from the pump)
     # ------------------------------------------------------------------
@@ -543,13 +457,8 @@ class ReconfigManager:
     ) -> None:
         if isinstance(message, msgs.Transition):
             self._handle_transition(conn, message, src)
-        elif isinstance(message, msgs.TransitionAck):
-            state = self._states.get(conn.conn_id)
-            if state is None:
-                return
-            waiter = state.ack_waiters.get(message.epoch)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(message)
+        elif isinstance(message, (msgs.TransitionAck, msgs.MigrateAck)):
+            conn.ack_received(message)
         elif isinstance(message, msgs.TransitionRequest):
             self.request_transition(conn, reason=message.reason)
         elif isinstance(message, msgs.Heartbeat):
@@ -561,13 +470,9 @@ class ReconfigManager:
             )
         elif isinstance(message, msgs.Migrate):
             self._handle_migrate(conn, message, src)
-        elif isinstance(message, (msgs.HeartbeatAck, msgs.MigrateAck)):
-            manager = self.runtime.failover
-            if manager is not None:
-                if isinstance(message, msgs.HeartbeatAck):
-                    manager.handle_heartbeat_ack(conn, message, src)
-                else:
-                    manager.handle_migrate_ack(conn, message, src)
+        elif isinstance(message, msgs.HeartbeatAck):
+            if self.runtime.failover is not None:
+                self.runtime.failover.handle_heartbeat_ack(conn, message, src)
         # anything else (Hello, ...) only updates conn.last_src, which the
         # pump already did.
 
@@ -580,7 +485,9 @@ class ReconfigManager:
         before the MIGRATE was sent; the ack confirms the return address
         and readiness for the replayed unacked window.  Duplicates replay
         the cached verdict, like TRANSITION (keys are namespaced so
-        migration epochs cannot collide with transition epochs).
+        migration epochs cannot collide with transition epochs).  This
+        side numbers its binding with the migration epoch
+        (:meth:`Connection.adopt_epoch`), as the client does.
         """
         state = self._state(conn)
         key = ("migrate", message.epoch)
@@ -588,6 +495,7 @@ class ReconfigManager:
         if cached is not None:
             conn.send_ctl(cached, dst=src)
             return
+        conn.adopt_epoch(message.epoch)
         ack = msgs.MigrateAck(
             conn_id=conn.conn_id, epoch=message.epoch, ok=True
         )
@@ -610,79 +518,22 @@ class ReconfigManager:
         next data message is processed."""
         state = self._state(conn)
         epoch = message.epoch
-        cached = state.acks.get(epoch)
-        if cached is not None:  # duplicate announcement: replay the verdict
-            conn.send_ctl(cached, dst=src)
-            return
-        if epoch <= conn.epoch:
+        ack = state.acks.get(epoch)  # a duplicate replays the verdict
+        if ack is None and epoch <= conn.epoch:
             ack = msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
-            state.cache_ack(epoch, ack)
+            state.acks.put(epoch, ack)
+        if ack is not None:
             conn.send_ctl(ack, dst=src)
             return
         try:
-            # Same structure ⇒ keep our spec objects for unchanged nodes so
-            # node identities (and the setup contexts keyed on them)
-            # survive the transition, adopting the announced args only
-            # where they differ (e.g. a multipath weight update).  A
-            # same-shape DAG that won't merge (relabeled node ids) keeps
-            # our DAG wholesale, as before; a different shape is a full
-            # rebuild from the announcement.
             old_shape = conn.dag.canonical_shape()
-            merge = ChunnelDag.merge_arg_updates(conn.dag, message.dag)
-            arg_changed: set[int] = set()
-            if merge is not None:
-                dag, arg_changed = merge
-            elif message.dag.canonical_shape() == old_shape:
-                dag = conn.dag
-            else:
-                dag = message.dag
             choice = message.choice
-            changed = {
-                node_id
-                for node_id in dag.topological_order()
-                if not _same_offer(conn.choice.get(node_id), choice.get(node_id))
-            } | arg_changed
-            if dag is not conn.dag and merge is None:
-                changed = set(dag.topological_order())
-            impls, ctx_map, stage_map = self._build_side(
-                conn, dag, choice, changed, [], conn.role
-            )
-            try:
-                stages = [
-                    stage_map[node_id]
-                    for node_id in dag.topological_order()
-                    if stage_map[node_id] is not None
-                ]
-                conn.prepare_transition(epoch, stages)
-                for node_id in sorted(changed):
-                    impls[node_id].after_establish(ctx_map[node_id], conn)
-            except BerthaError:
-                conn.abort_transition(epoch)
-                self._teardown_nodes(impls, ctx_map, changed)
-                raise
-            old_impls = dict(conn.impls)
-            old_ctxs = {
-                n: conn._context_for(n) for n in changed if n in conn.impls
-            }
-            contexts = [
-                ctx_map[node_id]
-                for node_id in dag.topological_order()
-                if ctx_map[node_id] is not None
-            ]
-            old_epoch = conn.commit_transition(
-                epoch,
-                dag=dag,
-                impls=impls,
-                choice=choice,
-                contexts=contexts,
-                stage_map=stage_map,
-            )
-            for node_id in sorted(changed):
-                impl = old_impls.get(node_id)
-                octx = old_ctxs.get(node_id)
-                if impl is not None and octx is not None:
-                    impl.teardown(octx)
-            conn.retire_epoch(old_epoch, grace=self.retire_grace)
+            dag, changed = adopted_binding(conn, message.dag, choice)
+            swap = EpochSwap(conn, epoch, dag, choice, changed, conn.server_entity, ())
+            swap.prepare()
+            swap.commit()
+            for _old in swap.settle(self.retire_grace):
+                pass  # this side holds no leases for the binding
             # Adopted a new binding: the client's cached negotiation
             # results for this DAG shape no longer match what the server
             # would accept — evict so the next connect renegotiates.
@@ -703,7 +554,7 @@ class ReconfigManager:
                 error=f"{type(error).__name__}: {error}",
             )
             self._log(conn, "refused", f"epoch {epoch}: {error}")
-        state.cache_ack(epoch, ack)
+        state.acks.put(epoch, ack)
         self.runtime.network.trace.event(
             "reconfig",
             conn.conn_id,
@@ -715,17 +566,19 @@ class ReconfigManager:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _safe_release(self, record_id: str, owner: str):
-        """Generator: release a lease, tolerating a discovery outage.
+    def _safe_release(self, leases: Iterable[tuple[str, str]]):
+        """Generator: release ``(record_id, owner)`` leases one after the
+        other, tolerating a discovery outage.
 
         A committed (or rolled-back) transition must not be reported as
         failed just because the bookkeeping release timed out; the lease
         stays held until the record is revoked or a later release lands.
         """
-        try:
-            yield from self.runtime.discovery.release(record_id, owner)
-        except ConnectionTimeoutError:
-            self.runtime.release_failures += 1
+        for record_id, owner in leases:
+            try:
+                yield from self.runtime.discovery.release(record_id, owner)
+            except ConnectionTimeoutError:
+                self.runtime.release_failures += 1
 
     def _assemble_candidates(self, conn, dag: ChunnelDag, message: "msgs.Offer"):
         """Generator: the re-decision candidate pool — stored client offers,
@@ -761,30 +614,9 @@ class ReconfigManager:
                 candidates.setdefault(ctype, []).append(offer)
         return candidates
 
-    def _build_side(self, conn, dag, choice, changed, reservations, role):
-        """Partial rebuild via the shared establishment pipeline: changed
-        nodes are instantiated and set up fresh (each with a private copy
-        of the connection's params — a rebuild must not mutate the live
-        binding), the rest carry over ``conn``'s impls, contexts, and stage
-        objects."""
-        return build_binding(
-            self.runtime,
-            role=role,
-            conn_id=conn.conn_id,
-            dag=dag,
-            choice=choice,
-            client_entity=conn.client_entity,
-            server_entity=conn.server_entity,
-            params=conn.params,
-            reservations=reservations,
-            changed=changed,
-            reuse=conn,
-            fresh_params=True,
-        )
-
-    @staticmethod
-    def _teardown_nodes(impls, ctx_map, nodes) -> None:
-        teardown_nodes(impls, ctx_map, nodes)
+    def forget(self, conn: "Connection") -> None:
+        """Drop a closed connection's engine state (idempotent)."""
+        self._states.pop(conn.conn_id, None)
 
     def _state(self, conn: "Connection") -> _ConnState:
         state = self._states.get(conn.conn_id)

@@ -27,6 +27,7 @@ from repro.core import Runtime
 from repro.core.chunnel import ChunnelStage
 from repro.core.connection import Connection, _Pump
 from repro.core.dag import wrap
+from repro.core.failover import FailoverConfig
 from repro.core.policy import PriorityFirstPolicy
 from repro.core.stack import ChunnelStack
 from repro.discovery import DiscoveryService
@@ -48,9 +49,10 @@ def dag():
     return wrap(Serialize() >> Reliable())
 
 
-def build_world(cache_size=0, ephemeral=True, idle_close=IDLE_CLOSE):
+def build_world(cache_size=0, ephemeral=True, idle_close=IDLE_CLOSE, failover=None):
     """Echo server on a SmartNIC host (one ReliableToe record) and one
-    client; returns (net, discovery, toe_record, server, client_rt)."""
+    client (``failover`` configures its liveness watcher); returns
+    (net, discovery, toe_record, server, client_rt)."""
     net = Network()
     net.add_host("srv", nic=SmartNic(net.env, name="srv.nic", offload_slots=4))
     net.add_host("cl")
@@ -80,7 +82,7 @@ def build_world(cache_size=0, ephemeral=True, idle_close=IDLE_CLOSE):
         dag=dag(),
         idle_close=idle_close,
     )
-    return net, discovery, toe_record, server, runtime("cl")
+    return net, discovery, toe_record, server, runtime("cl", failover=failover)
 
 
 def drive(net, generator, until=30.0):
@@ -259,6 +261,41 @@ class TestClosedConnectionsAreAcyclic:
         reply = conn.recv()
         yield conn.env.any_of([reply, conn.env.timeout(0.05)])
         return reply.triggered and reply.value.payload == payload
+
+
+class TestEngineStateDroppedAtClose:
+    @pytest.mark.parametrize("ephemeral", [True, False])
+    def test_close_drops_reconfig_and_failover_state(self, ephemeral):
+        net, discovery, toe_record, server, client_rt = build_world(
+            ephemeral=ephemeral, idle_close=None, failover=FailoverConfig()
+        )
+        server_rt = server.runtime
+
+        def scenario():
+            endpoint = client_rt.new("tables", dag())
+            conn = yield from endpoint.connect(SERVER, **CONNECT)
+            (server_conn,) = server.listener.connections
+            discovery.revoke(toe_record.record_id)
+            outcome = yield server_rt.reconfig.request_transition(
+                server_conn, reason="revoked"
+            )
+            return conn, server_conn, outcome
+
+        conn, server_conn, outcome = drive(net, scenario())
+        assert outcome == "committed" and conn.epoch == 1
+        tables = [
+            (server_rt.reconfig._states, server_conn),
+            (client_rt.reconfig._states, conn),
+            (client_rt.failover._states, conn),
+        ]
+        assert all(c.conn_id in table for table, c in tables)
+        watcher = client_rt.failover._states[conn.conn_id].process
+        conn.close()
+        server_conn.close()
+        assert not any(c.conn_id in table for table, c in tables)
+        # The closed connection's watcher returns at its next wakeup.
+        net.env.run(until=net.env.now + 0.01)
+        assert not watcher.is_alive
 
 
 class TestUseAfterClose:
